@@ -1008,10 +1008,12 @@ func (m *Master) completeOwned(opts QueryOptions, t plan.TaskSpec, f *taskFuture
 // retry budget runs out. Leaves the cluster manager no longer reports alive
 // (dead, degraded or suspect) are excluded from every attempt, and attempts
 // are spaced by exponential backoff with deterministic jitter so a burst of
-// failures does not hammer the survivors in lockstep.
+// failures does not hammer the survivors in lockstep. A backup that finds
+// its leaf already down (unreachable: no work ran) does not spend the
+// budget; the exclusion set still bounds the loop by the leaf count.
 func (m *Master) retryTask(ctx context.Context, p *plan.PhysicalPlan, t plan.TaskSpec, firstLeaf string, timeout time.Duration, d taskDone, qid string) taskDone {
 	exclude := map[string]bool{firstLeaf: true}
-	for attempt := 0; attempt < m.cfg.MaxTaskRetries; attempt++ {
+	for attempt := 0; attempt < m.cfg.MaxTaskRetries; {
 		if m.cfg.RetryBackoff > 0 {
 			if !sleepCtx(ctx, retryDelay(m.cfg.RetryBackoff, t.Key(), attempt)) {
 				return d
@@ -1037,12 +1039,14 @@ func (m *Master) retryTask(ctx context.Context, p *plan.PhysicalPlan, t plan.Tas
 			m.Manager.ReportTaskTime(leaf, st.Wall)
 			return d
 		}
-		if st.Unreachable {
-			m.Manager.MarkSuspect(leaf)
-		}
 		d.err = errors.New(st.Err)
 		d.leaf = leaf
 		exclude[leaf] = true
+		if st.Unreachable {
+			m.Manager.MarkSuspect(leaf)
+			continue
+		}
+		attempt++
 	}
 	return d
 }

@@ -85,3 +85,39 @@ func TestRetryBackoffDeterministic(t *testing.T) {
 		t.Fatal("distinct tasks drew identical jitter (suspicious for FNV)")
 	}
 }
+
+// TestRetryUnreachableBackupKeepsBudget is the chaos-equivalence flake's
+// regression test: a backup leaf that turns out to be already down (the
+// call fails with ErrUnknownNode before any work runs) must not spend the
+// retry budget. With MaxTaskRetries=1 the task's first backup lands on a
+// down replica holder; the task must still get its one real attempt on a
+// live leaf and succeed.
+func TestRetryUnreachableBackupKeepsBudget(t *testing.T) {
+	tc := newTestCluster(t, 4, 0, 1, func(cfg *MasterConfig) {
+		cfg.MaxTaskRetries = 1
+		cfg.HedgeDelay = -1
+	})
+	// leaf0 and leaf1 hold the only partition, so placement prefers them
+	// in name order: the primary goes to leaf0 and the first backup to
+	// leaf1. Both crashed after their last heartbeat, so the manager still
+	// counts them alive until their calls fail.
+	tc.master.Scheduler.Locator = mapLocator{"/hdfs/logs/p0": {"leaf0", "leaf1"}}
+	tc.fabric.SetDown("leaf0", true)
+	tc.fabric.SetDown("leaf1", true)
+	live2, live3 := tc.leaves[2].Tasks.Value(), tc.leaves[3].Tasks.Value()
+
+	res, stats := tc.query("SELECT COUNT(*) FROM logs", QueryOptions{})
+	if got := res.Rows[0][0].I; got != int64(testRowsPerPartition) {
+		t.Fatalf("count = %d, want %d", got, testRowsPerPartition)
+	}
+	if stats.TasksFailed != 0 {
+		t.Fatalf("%d task(s) failed; an unreachable backup spent the retry budget", stats.TasksFailed)
+	}
+	if stats.BackupTasks != 2 {
+		t.Errorf("backup tasks = %d, want 2 (unreachable leaf1, then a live leaf)", stats.BackupTasks)
+	}
+	ran := tc.leaves[2].Tasks.Value() - live2 + tc.leaves[3].Tasks.Value() - live3
+	if ran != 1 {
+		t.Errorf("live leaves ran %d task(s), want the one real attempt", ran)
+	}
+}

@@ -33,6 +33,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/ring"
 )
 
 // Kind classifies an event. Kinds are dotted component.action names so a
@@ -136,11 +138,9 @@ type Recorder struct {
 	total   atomic.Uint64 // events accepted (including overwritten)
 	dropped atomic.Uint64 // events overwritten by ring wrap
 
-	mu    sync.Mutex
-	ring  []Event
-	next  int  // ring slot for the next event
-	wrap  bool // ring has wrapped at least once
-	sites map[string]uint64
+	mu      sync.Mutex
+	journal ring.Ring[Event]
+	sites   map[string]uint64
 }
 
 // DefaultCapacity is the journal size used when New is given n <= 0.
@@ -153,8 +153,8 @@ func New(n int) *Recorder {
 		n = DefaultCapacity
 	}
 	r := &Recorder{
-		ring:  make([]Event, n),
-		sites: make(map[string]uint64),
+		journal: ring.New[Event](n),
+		sites:   make(map[string]uint64),
 	}
 	r.enabled.Store(true)
 	return r
@@ -191,14 +191,8 @@ func (r *Recorder) Record(e Event) {
 	r.sites[e.Site]++
 	e.SiteSeq = r.sites[e.Site]
 	e.Seq = r.total.Add(1)
-	if r.wrap {
+	if r.journal.Push(e) {
 		r.dropped.Add(1)
-	}
-	r.ring[r.next] = e
-	r.next++
-	if r.next == len(r.ring) {
-		r.next = 0
-		r.wrap = true
 	}
 	r.mu.Unlock()
 }
@@ -222,13 +216,7 @@ func (r *Recorder) Events() []Event {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if !r.wrap {
-		return append([]Event(nil), r.ring[:r.next]...)
-	}
-	out := make([]Event, 0, len(r.ring))
-	out = append(out, r.ring[r.next:]...)
-	out = append(out, r.ring[:r.next]...)
-	return out
+	return r.journal.Oldest()
 }
 
 // Canonical returns the retained journal sorted by (Site, SiteSeq) — the

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/ring"
 	"repro/internal/trace"
 )
 
@@ -50,11 +51,8 @@ type Slowlog struct {
 	simThresh  time.Duration
 
 	mu      sync.Mutex
-	entries []SlowQuery // ring storage; len == capacity once full
-	next    int         // next write position
-	seq     int64
-	total   int64
-	cap     int
+	entries ring.Ring[SlowQuery]
+	seq     int64 // entries ever recorded; the last one's Seq
 }
 
 // NewSlowlog returns a ring of the given capacity (default 128 when <=0).
@@ -62,7 +60,7 @@ func NewSlowlog(capacity int, wallThresh, simThresh time.Duration) *Slowlog {
 	if capacity <= 0 {
 		capacity = 128
 	}
-	return &Slowlog{cap: capacity, wallThresh: wallThresh, simThresh: simThresh}
+	return &Slowlog{entries: ring.New[SlowQuery](capacity), wallThresh: wallThresh, simThresh: simThresh}
 }
 
 // Enabled reports whether any threshold is active.
@@ -87,15 +85,8 @@ func (l *Slowlog) Record(q SlowQuery) {
 	}
 	l.mu.Lock()
 	l.seq++
-	l.total++
 	q.Seq = l.seq
-	if len(l.entries) < l.cap {
-		l.entries = append(l.entries, q)
-		l.next = len(l.entries) % l.cap
-	} else {
-		l.entries[l.next] = q
-		l.next = (l.next + 1) % l.cap
-	}
+	l.entries.Push(q)
 	l.mu.Unlock()
 }
 
@@ -106,13 +97,7 @@ func (l *Slowlog) Entries() []SlowQuery {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]SlowQuery, 0, len(l.entries))
-	// Walk backwards from the most recent write.
-	for i := 0; i < len(l.entries); i++ {
-		idx := (l.next - 1 - i + len(l.entries)) % len(l.entries)
-		out = append(out, l.entries[idx])
-	}
-	return out
+	return l.entries.Newest()
 }
 
 // Total returns how many slow queries have ever been recorded (including
@@ -123,7 +108,7 @@ func (l *Slowlog) Total() int64 {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.total
+	return l.seq
 }
 
 // StagesFromTrace extracts a per-stage breakdown from a query's root span:

@@ -3,6 +3,8 @@ package trace
 import (
 	"sync"
 	"time"
+
+	"repro/internal/ring"
 )
 
 // StoredTrace is one finished query's trace plus the identifiers used to
@@ -22,10 +24,8 @@ type StoredTrace struct {
 // accept either a query ID or a plan fingerprint (newest match wins).
 // All methods are nil-safe.
 type Store struct {
-	mu   sync.Mutex
-	ring []StoredTrace
-	next int
-	wrap bool
+	mu     sync.Mutex
+	traces ring.Ring[StoredTrace]
 }
 
 // DefaultStoreSize is the trace retention used when NewStore is given
@@ -37,7 +37,7 @@ func NewStore(n int) *Store {
 	if n <= 0 {
 		n = DefaultStoreSize
 	}
-	return &Store{ring: make([]StoredTrace, n)}
+	return &Store{traces: ring.New[StoredTrace](n)}
 }
 
 // Add retains one finished trace, evicting the oldest when full. Traces
@@ -47,12 +47,7 @@ func (st *Store) Add(t StoredTrace) {
 		return
 	}
 	st.mu.Lock()
-	st.ring[st.next] = t
-	st.next++
-	if st.next == len(st.ring) {
-		st.next = 0
-		st.wrap = true
-	}
+	st.traces.Push(t)
 	st.mu.Unlock()
 }
 
@@ -63,16 +58,7 @@ func (st *Store) Traces() []StoredTrace {
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	var out []StoredTrace
-	for i := st.next - 1; i >= 0; i-- {
-		out = append(out, st.ring[i])
-	}
-	if st.wrap {
-		for i := len(st.ring) - 1; i >= st.next; i-- {
-			out = append(out, st.ring[i])
-		}
-	}
-	return out
+	return st.traces.Newest()
 }
 
 // Get returns the newest retained trace whose query ID or plan
@@ -93,8 +79,5 @@ func (st *Store) Len() int {
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.wrap {
-		return len(st.ring)
-	}
-	return st.next
+	return st.traces.Len()
 }

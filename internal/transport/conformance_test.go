@@ -394,3 +394,100 @@ func TestConformanceConcurrentCalls(t *testing.T) {
 		})
 	}
 }
+
+// A leaf restart while a call is parked in the data-slot queue: the serve
+// step's post-slot re-check must fail the call instead of delivering to the
+// dead handler (the token is released back to the snapshot endpoint's own
+// channel, never leaked into the new incarnation's). Over TCP the snapshot
+// is taken server-side, so the restart waits until the queued call has
+// passed the fault hook and had time to park.
+func TestConformanceStaleEndpointInSlotQueue(t *testing.T) {
+	for _, nc := range netCases() {
+		t.Run(nc.name, func(t *testing.T) {
+			n := nc.mk(t, nil, Options{DataSlots: 1})
+			var oldCalls atomic.Int32
+			block := make(chan struct{})
+			started := make(chan struct{})
+			var once sync.Once
+			n.Register("leaf", func(ctx context.Context, from string, payload any) (any, error) {
+				oldCalls.Add(1)
+				if payload.(string) == "slow" {
+					once.Do(func() { close(started) })
+					<-block
+				}
+				return "old", nil
+			})
+
+			// Occupy the single data slot.
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				_, _ = n.Call(context.Background(), "m", "leaf", Read, "slow", 1)
+			}()
+			<-started
+
+			// Second call queues on the slot; restart the leaf, then free the slot.
+			gate := &gateInterceptor{entered: make(chan struct{}), release: make(chan struct{})}
+			close(gate.release) // signal only, never stall
+			n.SetInterceptor(gate)
+			done := make(chan error, 1)
+			go func() {
+				_, err := n.Call(context.Background(), "m", "leaf", Read, "queued", 1)
+				done <- err
+			}()
+			<-gate.entered
+			time.Sleep(50 * time.Millisecond) // let the call park on the slot channel
+			n.Deregister("leaf")
+			n.Register("leaf", func(context.Context, string, any) (any, error) { return "new", nil })
+			close(block)
+			wg.Wait()
+
+			if err := <-done; !errors.Is(err, ErrUnknownNode) {
+				t.Fatalf("queued call after restart: err = %v, want ErrUnknownNode", err)
+			}
+			if got := oldCalls.Load(); got != 1 {
+				t.Errorf("old handler calls = %d, want only the pre-restart one", got)
+			}
+		})
+	}
+}
+
+// countingFault delivers every message untouched and counts how often the
+// fault hook was consulted.
+type countingFault struct{ n atomic.Int32 }
+
+func (c *countingFault) Intercept(ctx context.Context, from, to string, class Class, size int64) Fault {
+	c.n.Add(1)
+	return Fault{}
+}
+
+// The destination is resolved before the fault hook: a call to an unknown
+// or down node fails with ErrUnknownNode without consuming a chaos draw, so
+// a seeded schedule sees the same decision stream on both transports.
+func TestConformanceResolveBeforeIntercept(t *testing.T) {
+	for _, nc := range netCases() {
+		t.Run(nc.name, func(t *testing.T) {
+			n := nc.mk(t, nil, Options{})
+			hook := &countingFault{}
+			n.SetInterceptor(hook)
+			n.Register("x", func(context.Context, string, any) (any, error) { return "ok", nil })
+			n.SetDown("x", true)
+			for _, to := range []string{"ghost", "x"} {
+				if _, err := n.Call(context.Background(), "m", to, Control, "p", 1); !errors.Is(err, ErrUnknownNode) {
+					t.Errorf("call to %s = %v, want ErrUnknownNode", to, err)
+				}
+			}
+			if got := hook.n.Load(); got != 0 {
+				t.Errorf("fault hook consulted %d times for unresolvable destinations, want 0", got)
+			}
+			n.SetDown("x", false)
+			if got, err := n.Call(context.Background(), "m", "x", Control, "p", 1); err != nil || got != "ok" {
+				t.Fatalf("call to live node = %v, %v", got, err)
+			}
+			if got := hook.n.Load(); got != 1 {
+				t.Errorf("fault hook consulted %d times for one live call, want 1", got)
+			}
+		})
+	}
+}

@@ -9,9 +9,10 @@ package transport
 // still cross the socket — the point of this transport is that nothing is
 // delivered by function call.
 //
-// Faults (the chaos plane) are injected on the caller side, exactly where
-// Fabric injects them, so seeded chaos schedules behave identically on
-// both transports.
+// TCP shares Fabric's delivery core: the caller side runs the same call
+// (resolve, intercept, count, bill) with a socket round trip, and the
+// server side delivers through the same serve step, so seeded chaos
+// schedules behave identically on both transports.
 
 import (
 	"context"
@@ -21,7 +22,6 @@ import (
 	"time"
 
 	"repro/internal/metrics"
-	"repro/internal/storage"
 )
 
 // TCPOptions configure the wire transport on top of the shared Options.
@@ -37,26 +37,22 @@ type TCPOptions struct {
 
 // TCP implements Network over real sockets.
 type TCP struct {
-	opt    Options
+	// core hosts the nodes served behind the listener; its mu also guards
+	// peers, downRemote, pools and closed.
+	core
 	tcpOpt TCPOptions
-	topo   *Topology
 	ln     net.Listener
 	addr   string
 
-	ClassCounters
 	// WireBytes counts real encoded bytes per class (requests + replies,
 	// measured after gob encoding). The embedded ClassCounters mirror the
 	// Fabric contract and count the caller-declared simulated sizes.
 	WireBytes [4]metrics.Counter
 
-	mu          sync.RWMutex
-	local       map[string]*tcpEndpoint
-	gen         uint64
-	peers       map[string]string // remote node -> dial address
-	downRemote  map[string]bool   // SetDown for non-local nodes
-	pools       map[string]*peerPool
-	interceptor Interceptor
-	closed      bool
+	peers      map[string]string // remote node -> dial address
+	downRemote map[string]bool   // SetDown for non-local nodes
+	pools      map[string]*peerPool
+	closed     bool
 
 	baseCtx   context.Context
 	baseStop  context.CancelFunc
@@ -64,18 +60,8 @@ type TCP struct {
 	wg        sync.WaitGroup
 }
 
-type tcpEndpoint struct {
-	handler Handler
-	slots   chan struct{} // nil when unlimited
-	down    bool
-	gen     uint64
-}
-
 // NewTCP starts the process's listener and returns the transport.
 func NewTCP(topo *Topology, opt Options, tcpOpt TCPOptions) (*TCP, error) {
-	if topo == nil {
-		topo = NewTopology()
-	}
 	if tcpOpt.ListenAddr == "" {
 		tcpOpt.ListenAddr = "127.0.0.1:0"
 	}
@@ -85,18 +71,16 @@ func NewTCP(topo *Topology, opt Options, tcpOpt TCPOptions) (*TCP, error) {
 	}
 	ctx, stop := context.WithCancel(context.Background())
 	t := &TCP{
-		opt:        opt,
 		tcpOpt:     tcpOpt,
-		topo:       topo,
 		ln:         ln,
 		addr:       ln.Addr().String(),
-		local:      make(map[string]*tcpEndpoint),
 		peers:      make(map[string]string),
 		downRemote: make(map[string]bool),
 		pools:      make(map[string]*peerPool),
 		baseCtx:    ctx,
 		baseStop:   stop,
 	}
+	t.init(topo, opt)
 	t.wg.Add(1)
 	go t.acceptLoop()
 	return t, nil
@@ -105,46 +89,14 @@ func NewTCP(topo *Topology, opt Options, tcpOpt TCPOptions) (*TCP, error) {
 // Addr returns the listener address (host:port) other processes dial.
 func (t *TCP) Addr() string { return t.addr }
 
-// Topology returns the placement map used for hop accounting.
-func (t *TCP) Topology() *Topology { return t.topo }
-
-// Register hosts a node behind this process's listener. Re-registering a
-// name installs a fresh endpoint with a new generation (server restart).
-func (t *TCP) Register(node string, h Handler) {
-	ep := &tcpEndpoint{handler: h}
-	if t.opt.DataSlots > 0 {
-		ep.slots = make(chan struct{}, t.opt.DataSlots)
-	}
-	t.mu.Lock()
-	t.gen++
-	ep.gen = t.gen
-	t.local[node] = ep
-	t.mu.Unlock()
-}
-
-// Deregister removes a hosted node (server crash).
-func (t *TCP) Deregister(node string) {
-	t.mu.Lock()
-	delete(t.local, node)
-	t.mu.Unlock()
-}
-
 // SetDown marks a node unreachable without removing it. For hosted nodes
-// the server refuses delivery; for remote nodes the caller side refuses.
+// the serve step refuses delivery; for remote nodes the caller side refuses.
 func (t *TCP) SetDown(node string, down bool) {
-	t.mu.Lock()
-	if ep, ok := t.local[node]; ok {
-		ep.down = down
-	} else {
-		t.downRemote[node] = down
+	if t.setDown(node, down) {
+		return
 	}
-	t.mu.Unlock()
-}
-
-// SetInterceptor installs (or removes) the fault-injection hook.
-func (t *TCP) SetInterceptor(i Interceptor) {
 	t.mu.Lock()
-	t.interceptor = i
+	t.downRemote[node] = down
 	t.mu.Unlock()
 }
 
@@ -177,19 +129,11 @@ func (t *TCP) Discover(ctx context.Context, addr string) ([]string, error) {
 
 // Nodes returns hosted and known-remote node names.
 func (t *TCP) Nodes() []string {
+	out := t.core.Nodes()
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	seen := make(map[string]bool, len(t.local)+len(t.peers))
-	out := make([]string, 0, len(t.local)+len(t.peers))
-	for n := range t.local {
-		if !seen[n] {
-			seen[n] = true
-			out = append(out, n)
-		}
-	}
 	for n := range t.peers {
-		if !seen[n] {
-			seen[n] = true
+		if _, hosted := t.hosts[n]; !hosted {
 			out = append(out, n)
 		}
 	}
@@ -216,96 +160,61 @@ func (t *TCP) Close() error {
 	return err
 }
 
-// resolve maps a destination node to a dial address.
-func (t *TCP) resolve(to string) (string, error) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if _, ok := t.local[to]; ok {
-		return t.addr, nil
+// resolve maps a destination node to a dial address and snapshots the
+// fault hook. A hosted node that is down, or a node neither hosted nor a
+// known live peer, fails here, before the hook is consulted.
+func (t *TCP) resolve(to string) (string, Interceptor, error) {
+	ep, hosted, icpt := t.lookup(to)
+	if ep != nil {
+		return t.addr, icpt, nil
 	}
-	if t.downRemote[to] {
-		return "", fmt.Errorf("%w: %q", ErrUnknownNode, to)
+	if !hosted {
+		t.mu.RLock()
+		addr, ok := t.peers[to]
+		ok = ok && !t.downRemote[to]
+		t.mu.RUnlock()
+		if ok {
+			return addr, icpt, nil
+		}
 	}
-	if addr, ok := t.peers[to]; ok {
-		return addr, nil
-	}
-	return "", fmt.Errorf("%w: %q", ErrUnknownNode, to)
+	return "", nil, unknownNode(to)
 }
 
-// Call delivers a message over the wire and waits for the reply. The
-// at-least-once duplicate semantics, billing, and counter behavior match
-// Fabric.Call exactly.
+// Call delivers a message over the wire and waits for the reply, through
+// the same call core as Fabric.Call.
 func (t *TCP) Call(ctx context.Context, from, to string, class Class, payload any, size int64) (any, error) {
-	t.mu.RLock()
-	icpt := t.interceptor
-	t.mu.RUnlock()
-
-	duplicate := false
-	if icpt != nil {
-		fault := icpt.Intercept(ctx, from, to, class, size)
-		if fault.Drop {
-			err := fault.Err
-			if err == nil {
-				err = ErrInjected
-			}
-			return nil, fmt.Errorf("transport: %s call %s->%s: %w", class, from, to, err)
-		}
-		if fault.Delay > 0 {
-			select {
-			case <-time.After(fault.Delay):
-			case <-ctx.Done():
-				return nil, fmt.Errorf("transport: %s call %s->%s: %w", class, from, to, ctx.Err())
-			}
-		}
-		duplicate = fault.Duplicate
-	}
-
-	addr, err := t.resolve(to)
+	addr, icpt, err := t.resolve(to)
 	if err != nil {
 		return nil, err
 	}
-	body, err := EncodePayload(payload)
-	if err != nil {
-		return nil, err
+	return t.call(ctx, icpt, &wireCall{t: t, addr: addr}, from, to, class, payload, size)
+}
+
+// wireCall is one TCP call's round trip: the resolved peer address, and
+// the payload encoded on the first delivery and reused by a duplicate.
+type wireCall struct {
+	t    *TCP
+	addr string
+	body []byte
+}
+
+// roundTrip performs one request/reply exchange on a pooled connection.
+func (w *wireCall) roundTrip(ctx context.Context, from, to string, class Class, payload any, size int64) (any, error) {
+	t := w.t
+	if payload != nil && w.body == nil {
+		body, err := EncodePayload(payload)
+		if err != nil {
+			return nil, err
+		}
+		w.body = body
 	}
 	bag := stashBaggage(ctx)
 	defer unstashBaggage(bag)
 
-	deliveries := 1
-	if duplicate {
-		deliveries = 2
-	}
-	var (
-		reply     any
-		lastErr   error
-		delivered bool
-	)
-	for i := 0; i < deliveries; i++ {
-		t.count(class, size)
-		if b := storage.BillFrom(ctx); b != nil && t.opt.Model != nil {
-			if hops := t.topo.Hops(from, to); hops > 0 {
-				b.ChargeTransfer(t.opt.Model, size, hops)
-			}
-		}
-		r, err := t.roundTrip(ctx, addr, from, to, class, payload == nil, body, size, bag)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		reply, delivered = r, true
-	}
-	if delivered {
-		return reply, nil
-	}
-	return nil, lastErr
-}
-
-// roundTrip performs one request/reply exchange on a pooled connection.
-func (t *TCP) roundTrip(ctx context.Context, addr, from, to string, class Class, nilPayload bool, body []byte, size int64, bag uint64) (any, error) {
-	pool := t.poolFor(addr)
+	pool := t.poolFor(w.addr)
 	wc, err := pool.get(ctx, class)
 	if err != nil {
-		return nil, fmt.Errorf("transport: %s call %s->%s: %w", class, from, to, err)
+		return nil, callError(class, from, to, err)
 	}
 	broken := true
 	defer func() { pool.put(wc, class, broken) }()
@@ -333,17 +242,17 @@ func (t *TCP) roundTrip(ctx context.Context, addr, from, to string, class Class,
 		return nil, err
 	}
 	cf := frame{kind: frameCall, class: byte(class), body: hdr}
-	if nilPayload {
+	if payload == nil {
 		cf.flags |= flagNilPayload
 	}
 	if err := writeFrame(wc.c, cf); err != nil {
 		return nil, callErr(ctx, class, from, to, err)
 	}
-	if !nilPayload {
-		if err := writeChunks(wc.c, byte(class), body); err != nil {
+	if payload != nil {
+		if err := writeChunks(wc.c, byte(class), w.body); err != nil {
 			return nil, callErr(ctx, class, from, to, err)
 		}
-		t.WireBytes[class].Add(int64(len(body)))
+		t.WireBytes[class].Add(int64(len(w.body)))
 	}
 
 	rf, err := readFrame(wc.c)
@@ -371,7 +280,7 @@ func (t *TCP) roundTrip(ctx context.Context, addr, from, to string, class Class,
 		broken = false
 		return out, nil
 	default:
-		return nil, fmt.Errorf("transport: %s call %s->%s: unexpected reply frame kind %d", class, from, to, rf.kind)
+		return nil, callError(class, from, to, fmt.Errorf("unexpected reply frame kind %d", rf.kind))
 	}
 }
 
@@ -379,7 +288,7 @@ func callErr(ctx context.Context, class Class, from, to string, err error) error
 	if ctx.Err() != nil {
 		err = ctx.Err()
 	}
-	return fmt.Errorf("transport: %s call %s->%s: %w", class, from, to, err)
+	return callError(class, from, to, err)
 }
 
 func (t *TCP) poolFor(addr string) *peerPool {
@@ -404,13 +313,10 @@ func (t *TCP) dialPeer(ctx context.Context, addr string) (*wireConn, error) {
 	if tc, ok := c.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
-	t.mu.RLock()
 	var self string
-	for n := range t.local {
-		self = n
-		break
+	if hosted := t.core.Nodes(); len(hosted) > 0 {
+		self = hosted[0]
 	}
-	t.mu.RUnlock()
 	hello, err := encodeGob(helloMsg{Version: CodecVersion, From: self})
 	if err != nil {
 		c.Close()
@@ -449,7 +355,7 @@ func (t *TCP) dialPeer(ctx context.Context, addr string) (*wireConn, error) {
 	// Handshake doubles as discovery: remember which nodes answer here.
 	t.mu.Lock()
 	for _, n := range ack.Nodes {
-		if _, hosted := t.local[n]; !hosted {
+		if _, hosted := t.hosts[n]; !hosted {
 			t.peers[n] = addr
 		}
 	}
@@ -500,13 +406,7 @@ func (t *TCP) serveConn(c net.Conn) {
 		writeFrame(c, encodeErrorFrame(0, fmt.Errorf("transport: codec version %d not supported (want %d)", hello.Version, CodecVersion)))
 		return
 	}
-	t.mu.RLock()
-	nodes := make([]string, 0, len(t.local))
-	for n := range t.local {
-		nodes = append(nodes, n)
-	}
-	t.mu.RUnlock()
-	ab, err := encodeGob(helloAck{Version: CodecVersion, Nodes: nodes})
+	ab, err := encodeGob(helloAck{Version: CodecVersion, Nodes: t.core.Nodes()})
 	if err != nil {
 		return
 	}
@@ -518,14 +418,11 @@ func (t *TCP) serveConn(c net.Conn) {
 	// provide the concurrency.
 	for {
 		cf, err := readFrame(c)
-		if err != nil {
-			return
-		}
-		if cf.kind != frameCall {
+		if err != nil || cf.kind != frameCall {
 			return
 		}
 		var hdr callHeader
-		if err := decodeGob(cf.body, &hdr); err != nil {
+		if decodeGob(cf.body, &hdr) != nil {
 			return
 		}
 		var payload any
@@ -540,66 +437,37 @@ func (t *TCP) serveConn(c net.Conn) {
 				continue
 			}
 		}
+		var body []byte
 		reply, err := t.serveCall(ctx, hdr, payload)
-		if err != nil {
-			if writeFrame(c, encodeErrorFrame(cf.class, err)) != nil {
-				return
-			}
-			continue
+		if err == nil && reply != nil {
+			body, err = EncodePayload(reply)
 		}
-		rf := frame{kind: frameReply, class: cf.class}
-		var rb []byte
-		if reply == nil {
-			rf.flags |= flagNilPayload
-		} else {
-			rb, err = EncodePayload(reply)
-			if err != nil {
-				if writeFrame(c, encodeErrorFrame(cf.class, err)) != nil {
-					return
-				}
-				continue
-			}
-		}
-		if err := writeFrame(c, rf); err != nil {
+		if writeReply(c, cf.class, body, err) != nil {
 			return
-		}
-		if reply != nil {
-			if err := writeChunks(c, cf.class, rb); err != nil {
-				return
-			}
 		}
 	}
 }
 
-// serveCall resolves the destination endpoint at delivery time (liveness/
-// generation semantics shared with Fabric) and invokes its handler, holding
-// a data slot for non-Control traffic.
+// writeReply answers one call: an error frame when err is set, otherwise a
+// reply frame followed by the encoded body (flagged nil when body is nil).
+func writeReply(c net.Conn, class byte, body []byte, err error) error {
+	if err != nil {
+		return writeFrame(c, encodeErrorFrame(class, err))
+	}
+	rf := frame{kind: frameReply, class: class}
+	if body == nil {
+		rf.flags |= flagNilPayload
+		return writeFrame(c, rf)
+	}
+	if err := writeFrame(c, rf); err != nil {
+		return err
+	}
+	return writeChunks(c, class, body)
+}
+
+// serveCall delivers one decoded call through the shared serve step, with
+// the caller's baggage layered under the connection context.
 func (t *TCP) serveCall(ctx context.Context, hdr callHeader, payload any) (any, error) {
-	ctx = withBaggage(ctx, hdr.Baggage)
-	t.mu.RLock()
-	ep, ok := t.local[hdr.To]
-	down := ok && ep.down
-	t.mu.RUnlock()
-	if !ok || down {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownNode, hdr.To)
-	}
-	class := Class(hdr.Class)
-	if class != Control && ep.slots != nil {
-		select {
-		case ep.slots <- struct{}{}:
-			defer func() { <-ep.slots }()
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	// Re-check at delivery time: a Deregister+Register while waiting for a
-	// slot must not hand the message to the dead handler.
-	t.mu.RLock()
-	cur, ok := t.local[hdr.To]
-	stale := !ok || cur.gen != ep.gen || cur.down
-	t.mu.RUnlock()
-	if stale {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownNode, hdr.To)
-	}
-	return ep.handler(ctx, hdr.From, payload)
+	ep, _, _ := t.lookup(hdr.To)
+	return ep.serve(withBaggage(ctx, hdr.Baggage), hdr.From, hdr.To, Class(hdr.Class), payload)
 }

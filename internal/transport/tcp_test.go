@@ -249,51 +249,3 @@ func TestFabricStaleEndpointAcrossRestart(t *testing.T) {
 		t.Errorf("post-restart call = %v, %v", got, err)
 	}
 }
-
-// The same restart while the call is parked in the data-slot queue: the
-// delivery-time re-check must also cover the slot path (the token is
-// released back to the snapshot endpoint's own channel, never leaked into
-// the new incarnation's).
-func TestFabricStaleEndpointInSlotQueue(t *testing.T) {
-	f := NewFabric(nil, Options{DataSlots: 1})
-	var oldCalls atomic.Int32
-	block := make(chan struct{})
-	started := make(chan struct{})
-	var once sync.Once
-	f.Register("leaf", func(ctx context.Context, from string, payload any) (any, error) {
-		oldCalls.Add(1)
-		if payload.(string) == "slow" {
-			once.Do(func() { close(started) })
-			<-block
-		}
-		return "old", nil
-	})
-
-	// Occupy the single data slot.
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_, _ = f.Call(context.Background(), "m", "leaf", Read, "slow", 1)
-	}()
-	<-started
-
-	// Second call queues on the slot; restart the leaf, then free the slot.
-	done := make(chan error, 1)
-	go func() {
-		_, err := f.Call(context.Background(), "m", "leaf", Read, "queued", 1)
-		done <- err
-	}()
-	time.Sleep(10 * time.Millisecond) // let the call park on the slot channel
-	f.Deregister("leaf")
-	f.Register("leaf", func(context.Context, string, any) (any, error) { return "new", nil })
-	close(block)
-	wg.Wait()
-
-	if err := <-done; !errors.Is(err, ErrUnknownNode) {
-		t.Fatalf("queued call after restart: err = %v, want ErrUnknownNode", err)
-	}
-	if got := oldCalls.Load(); got != 1 {
-		t.Errorf("old handler calls = %d, want only the pre-restart one", got)
-	}
-}

@@ -91,7 +91,7 @@ type Interceptor interface {
 type Handler func(ctx context.Context, from string, payload any) (any, error)
 
 // ClassCounters tracks delivered messages and bytes per traffic class.
-// Both transports embed it so the accounting surface is identical.
+// The delivery core embeds it, so both transports count identically.
 type ClassCounters struct {
 	Msgs  [4]metrics.Counter
 	Bytes [4]metrics.Counter
@@ -205,93 +205,127 @@ var (
 	_ Network = (*TCP)(nil)
 )
 
-// Fabric connects named endpoints.
-type Fabric struct {
+// core is the delivery discipline both transports embed: the table of
+// nodes hosted in this process, the fault hook, the per-class counters and
+// transfer billing. Fabric and TCP differ only in the round trip that
+// carries a message from the call core to the serve step.
+type core struct {
 	opt  Options
 	topo *Topology
+	ClassCounters
 
 	mu          sync.RWMutex
-	nodes       map[string]*endpoint
-	gen         uint64 // bumped on every Register; stamps endpoints
+	hosts       map[string]*host
+	gen         uint64 // bumped on every Register; stamps hosts
 	interceptor Interceptor
-
-	// per-class counters
-	ClassCounters
 }
 
-type endpoint struct {
+// host is one node registered in this process.
+type host struct {
+	owner   *core
 	handler Handler
 	slots   chan struct{} // nil when unlimited
 	down    bool
 	gen     uint64 // registration generation; a restart gets a new one
 }
 
-// NewFabric returns a fabric over the topology.
-func NewFabric(topo *Topology, opt Options) *Fabric {
+// roundTripper runs one delivery of a resolved call: Fabric serves the
+// endpoint snapshotted at resolve time, TCP exchanges frames over a pooled
+// connection with the serve step on the far side.
+type roundTripper interface {
+	roundTrip(ctx context.Context, from, to string, class Class, payload any, size int64) (any, error)
+}
+
+func (c *core) init(topo *Topology, opt Options) {
 	if topo == nil {
 		topo = NewTopology()
 	}
-	return &Fabric{opt: opt, topo: topo, nodes: make(map[string]*endpoint)}
+	c.opt, c.topo, c.hosts = opt, topo, make(map[string]*host)
 }
 
-// Topology returns the fabric's topology.
-func (f *Fabric) Topology() *Topology { return f.topo }
+// Topology returns the placement map used for hop accounting.
+func (c *core) Topology() *Topology { return c.topo }
 
-// Register attaches a handler to a node name. Re-registering a name (a
+// Register hosts a handler under a node name. Re-registering a name (a
 // restarted server) installs a fresh endpoint with a new generation; calls
 // that snapshotted the previous endpoint fail instead of reaching the dead
 // handler.
-func (f *Fabric) Register(node string, h Handler) {
-	ep := &endpoint{handler: h}
-	if f.opt.DataSlots > 0 {
-		ep.slots = make(chan struct{}, f.opt.DataSlots)
+func (c *core) Register(node string, h Handler) {
+	ep := &host{owner: c, handler: h}
+	if c.opt.DataSlots > 0 {
+		ep.slots = make(chan struct{}, c.opt.DataSlots)
 	}
-	f.mu.Lock()
-	f.gen++
-	ep.gen = f.gen
-	f.nodes[node] = ep
-	f.mu.Unlock()
+	c.mu.Lock()
+	c.gen++
+	ep.gen = c.gen
+	c.hosts[node] = ep
+	c.mu.Unlock()
 }
 
-// Deregister removes a node (server crash).
-func (f *Fabric) Deregister(node string) {
-	f.mu.Lock()
-	delete(f.nodes, node)
-	f.mu.Unlock()
+// Deregister removes a hosted node (server crash).
+func (c *core) Deregister(node string) {
+	c.mu.Lock()
+	delete(c.hosts, node)
+	c.mu.Unlock()
 }
 
-// SetDown marks a node unreachable without removing it (partition / crash
-// injection for fault-tolerance tests).
-func (f *Fabric) SetDown(node string, down bool) {
-	f.mu.Lock()
-	if ep, ok := f.nodes[node]; ok {
+// SetDown marks a hosted node unreachable without removing it (partition /
+// crash injection for fault-tolerance tests).
+func (c *core) SetDown(node string, down bool) { c.setDown(node, down) }
+
+// setDown flips a hosted node's down flag and reports whether node is
+// hosted here.
+func (c *core) setDown(node string, down bool) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	ep, ok := c.hosts[node]
+	if ok {
 		ep.down = down
 	}
-	f.mu.Unlock()
+	return ok
 }
 
 // SetInterceptor installs (or, with nil, removes) the fault-injection hook
 // consulted on every Call.
-func (f *Fabric) SetInterceptor(i Interceptor) {
-	f.mu.Lock()
-	f.interceptor = i
-	f.mu.Unlock()
+func (c *core) SetInterceptor(i Interceptor) {
+	c.mu.Lock()
+	c.interceptor = i
+	c.mu.Unlock()
 }
 
-// Call delivers a message and waits for the reply. size is the simulated
-// payload size in bytes (in-process payloads are passed by reference; the
-// size feeds the cost model and counters).
-func (f *Fabric) Call(ctx context.Context, from, to string, class Class, payload any, size int64) (any, error) {
-	f.mu.RLock()
-	ep, ok := f.nodes[to]
-	icpt := f.interceptor
-	down := ok && ep.down
-	f.mu.RUnlock()
-	if !ok || down {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownNode, to)
+// Nodes returns the hosted node names (live and down).
+func (c *core) Nodes() []string {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	out := make([]string, 0, len(c.hosts))
+	for n := range c.hosts {
+		out = append(out, n)
 	}
+	return out
+}
 
-	duplicate := false
+// lookup snapshots the fault hook and node's endpoint. ep is nil when node
+// is not hosted here or is down; hosted reports whether it is registered.
+func (c *core) lookup(node string) (ep *host, hosted bool, icpt Interceptor) {
+	c.mu.RLock()
+	ep, hosted = c.hosts[node]
+	if hosted && ep.down {
+		ep = nil
+	}
+	icpt = c.interceptor
+	c.mu.RUnlock()
+	return ep, hosted, icpt
+}
+
+// call is the client side of every delivery, on both transports. The
+// destination is already resolved into rt, so an unknown or down node has
+// failed before the fault hook is consulted. The hook may drop, delay or
+// duplicate the message; each delivery then counts the class, bills the
+// transfer hops and runs one round trip. The last successful reply wins
+// (one success is enough, and a failed copy must not mask it); with none,
+// the last error surfaces.
+func (c *core) call(ctx context.Context, icpt Interceptor, rt roundTripper, from, to string, class Class, payload any, size int64) (any, error) {
+	deliveries := 1
 	if icpt != nil {
 		fault := icpt.Intercept(ctx, from, to, class, size)
 		if fault.Drop {
@@ -299,34 +333,20 @@ func (f *Fabric) Call(ctx context.Context, from, to string, class Class, payload
 			if err == nil {
 				err = ErrInjected
 			}
-			return nil, fmt.Errorf("transport: %s call %s->%s: %w", class, from, to, err)
+			return nil, callError(class, from, to, err)
 		}
 		if fault.Delay > 0 {
 			select {
 			case <-time.After(fault.Delay):
 			case <-ctx.Done():
-				return nil, fmt.Errorf("transport: %s call %s->%s: %w", class, from, to, ctx.Err())
+				return nil, callError(class, from, to, ctx.Err())
 			}
 		}
-		duplicate = fault.Duplicate
-	}
-
-	// Write/Read traffic competes for the endpoint's worker slots;
-	// Control bypasses them (the reserved-bandwidth lane).
-	if class != Control && ep.slots != nil {
-		select {
-		case ep.slots <- struct{}{}:
-			defer func() { <-ep.slots }()
-		case <-ctx.Done():
-			return nil, fmt.Errorf("transport: %s call %s->%s: %w", class, from, to, ctx.Err())
+		if fault.Duplicate {
+			// At-least-once retransmission: both copies cross the wire, so
+			// both count against the class counters and the transfer bill.
+			deliveries = 2
 		}
-	}
-
-	deliveries := 1
-	if duplicate {
-		// At-least-once retransmission: both copies cross the wire, so both
-		// count against the class counters and the transfer bill.
-		deliveries = 2
 	}
 	var (
 		reply     any
@@ -334,19 +354,17 @@ func (f *Fabric) Call(ctx context.Context, from, to string, class Class, payload
 		delivered bool
 	)
 	for i := 0; i < deliveries; i++ {
-		f.count(class, size)
-		if b := storage.BillFrom(ctx); b != nil && f.opt.Model != nil {
-			if hops := f.topo.Hops(from, to); hops > 0 {
-				b.ChargeTransfer(f.opt.Model, size, hops)
+		c.count(class, size)
+		if b := storage.BillFrom(ctx); b != nil && c.opt.Model != nil {
+			if hops := c.topo.Hops(from, to); hops > 0 {
+				b.ChargeTransfer(c.opt.Model, size, hops)
 			}
 		}
-		r, err := f.deliver(ctx, to, ep, from, payload)
+		r, err := rt.roundTrip(ctx, from, to, class, payload, size)
 		if err != nil {
 			lastErr = err
 			continue
 		}
-		// The surviving reply is the last successful one; an earlier failed
-		// copy must not mask it (and vice versa — one success is enough).
 		reply, delivered = r, true
 	}
 	if delivered {
@@ -355,28 +373,66 @@ func (f *Fabric) Call(ctx context.Context, from, to string, class Class, payload
 	return nil, lastErr
 }
 
-// deliver invokes the endpoint's handler after re-checking that the very
-// endpoint snapshotted at call time is still the live registration. Without
-// the generation check a concurrent Deregister+Register (leaf restart)
-// would hand the message to the dead handler.
-func (f *Fabric) deliver(ctx context.Context, to string, ep *endpoint, from string, payload any) (any, error) {
-	f.mu.RLock()
-	cur, ok := f.nodes[to]
-	stale := !ok || cur.gen != ep.gen || cur.down
-	f.mu.RUnlock()
-	if stale {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownNode, to)
+// serve is the hosting side of every delivery, on both transports: take a
+// data slot unless the class is Control (the reserved lane), re-check that
+// the snapshotted endpoint is still the live, up registration, then invoke
+// its handler. Without the re-check a Deregister+Register (leaf restart)
+// while the message waited would hand it to the dead handler; the slot
+// token always returns to the snapshot's own channel. A nil h (nothing
+// hosted under to) fails like a stale one.
+func (h *host) serve(ctx context.Context, from, to string, class Class, payload any) (any, error) {
+	if h == nil {
+		return nil, unknownNode(to)
 	}
-	return ep.handler(ctx, from, payload)
+	if class != Control && h.slots != nil {
+		select {
+		case h.slots <- struct{}{}:
+			defer func() { <-h.slots }()
+		case <-ctx.Done():
+			return nil, callError(class, from, to, ctx.Err())
+		}
+	}
+	h.owner.mu.RLock()
+	cur := h.owner.hosts[to]
+	stale := cur == nil || cur.gen != h.gen || cur.down
+	h.owner.mu.RUnlock()
+	if stale {
+		return nil, unknownNode(to)
+	}
+	return h.handler(ctx, from, payload)
 }
 
-// Nodes returns the registered node names (live and down).
-func (f *Fabric) Nodes() []string {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	out := make([]string, 0, len(f.nodes))
-	for n := range f.nodes {
-		out = append(out, n)
+// roundTrip is Fabric's delivery: serve the endpoint snapshotted by Call.
+func (h *host) roundTrip(ctx context.Context, from, to string, class Class, payload any, _ int64) (any, error) {
+	return h.serve(ctx, from, to, class, payload)
+}
+
+func unknownNode(node string) error { return fmt.Errorf("%w: %q", ErrUnknownNode, node) }
+
+func callError(class Class, from, to string, err error) error {
+	return fmt.Errorf("transport: %s call %s->%s: %w", class, from, to, err)
+}
+
+// Fabric is the in-process transport: a call is delivered by invoking the
+// destination's handler directly (in-process payloads are passed by
+// reference; the declared size feeds the cost model and counters).
+type Fabric struct {
+	core
+}
+
+// NewFabric returns a fabric over the topology.
+func NewFabric(topo *Topology, opt Options) *Fabric {
+	f := &Fabric{}
+	f.init(topo, opt)
+	return f
+}
+
+// Call delivers a message and waits for the reply. size is the simulated
+// payload size in bytes.
+func (f *Fabric) Call(ctx context.Context, from, to string, class Class, payload any, size int64) (any, error) {
+	ep, _, icpt := f.lookup(to)
+	if ep == nil {
+		return nil, unknownNode(to)
 	}
-	return out
+	return f.call(ctx, icpt, ep, from, to, class, payload, size)
 }

@@ -150,3 +150,30 @@ func TestNodes(t *testing.T) {
 		t.Errorf("nodes = %v", got)
 	}
 }
+
+// The call core allocates nothing on the sim fabric's common path: no
+// fault hook, a bill on the context and a transfer with hops > 0. Every
+// cluster RPC of an in-process deployment runs through it.
+func TestFabricCallZeroAllocs(t *testing.T) {
+	topo := NewTopology()
+	topo.Place("m", "r1", "dc1")
+	topo.Place("l", "r2", "dc1") // same dc: 4 hops
+	f := NewFabric(topo, Options{Model: sim.DefaultCostModel(), DataSlots: 4})
+	reply := any("ok")
+	f.Register("l", func(context.Context, string, any) (any, error) { return reply, nil })
+	bill := sim.NewBill()
+	ctx := storage.WithBill(context.Background(), bill)
+	for _, class := range []Class{Control, Read} {
+		allocs := testing.AllocsPerRun(200, func() {
+			if _, err := f.Call(ctx, "m", "l", class, nil, 1000); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s Call allocates %v per call, want 0", class, allocs)
+		}
+	}
+	if bill.Time() == 0 {
+		t.Error("transfers were not billed; the guard measured the wrong path")
+	}
+}

@@ -29,85 +29,29 @@ go test -race ./...
 echo "== go test -race -count=2 (chaos + cluster recovery + concurrency harness + heat-tier index, repeated)"
 go test -race -count=2 ./internal/cluster/... ./internal/chaos/... ./internal/clustertest/... ./internal/core/... ./internal/bitmap/...
 
-# Coverage floor: internal/cluster (admission, scheduling, recovery) must not
-# fall below the gate set when admission control landed. Raise the floor when
+# Coverage floors, one per package, each set when its subsystem landed:
+# cluster (admission, scheduling, recovery), resultcache (semantic result
+# cache: normalization hits, subsumption, TTL, quotas, invalidation), events
+# (the flight recorder: emission, canonical ordering, drop accounting), exec
+# (expression evaluation, aggregation cells, partitioned hash join/agg and
+# the grace-hash spill path) and core (SmartIndex: heat sketch, hot/cold
+# tiers, striped promotion, derivation, budget eviction). Raise a floor when
 # coverage improves; never lower it to make a PR pass.
-cluster_cov_floor=83.0
-echo "== coverage floor (internal/cluster >= ${cluster_cov_floor}%)"
-cov=$(go test -cover ./internal/cluster | sed -n 's/.*coverage: \([0-9.]*\)% of statements.*/\1/p')
-if [ -z "$cov" ]; then
-	echo "coverage: could not parse 'go test -cover ./internal/cluster' output" >&2
-	exit 1
-fi
-if awk "BEGIN{exit !($cov < $cluster_cov_floor)}"; then
-	echo "coverage: internal/cluster at ${cov}%, below the ${cluster_cov_floor}% floor" >&2
-	exit 1
-fi
-echo "coverage: internal/cluster at ${cov}%"
-
-# Coverage floor: internal/resultcache (semantic result cache — normalization
-# hits, subsumption, TTL, quotas, invalidation) gates at the level set when
-# the cache landed. Raise when coverage improves; never lower.
-rescache_cov_floor=90.0
-echo "== coverage floor (internal/resultcache >= ${rescache_cov_floor}%)"
-rcov=$(go test -cover ./internal/resultcache | sed -n 's/.*coverage: \([0-9.]*\)% of statements.*/\1/p')
-if [ -z "$rcov" ]; then
-	echo "coverage: could not parse 'go test -cover ./internal/resultcache' output" >&2
-	exit 1
-fi
-if awk "BEGIN{exit !($rcov < $rescache_cov_floor)}"; then
-	echo "coverage: internal/resultcache at ${rcov}%, below the ${rescache_cov_floor}% floor" >&2
-	exit 1
-fi
-echo "coverage: internal/resultcache at ${rcov}%"
-
-# Coverage floor: internal/events (the flight recorder ring — emission,
-# canonical ordering, drop accounting) gates at the level set when the
-# recorder landed. Raise when coverage improves; never lower.
-events_cov_floor=92.0
-echo "== coverage floor (internal/events >= ${events_cov_floor}%)"
-ecov=$(go test -cover ./internal/events | sed -n 's/.*coverage: \([0-9.]*\)% of statements.*/\1/p')
-if [ -z "$ecov" ]; then
-	echo "coverage: could not parse 'go test -cover ./internal/events' output" >&2
-	exit 1
-fi
-if awk "BEGIN{exit !($ecov < $events_cov_floor)}"; then
-	echo "coverage: internal/events at ${ecov}%, below the ${events_cov_floor}% floor" >&2
-	exit 1
-fi
-echo "coverage: internal/events at ${ecov}%"
-
-# Coverage floor: internal/exec (expression evaluation, aggregation cells,
-# partitioned hash join/agg and the grace-hash spill path) gates at the
-# level set when the shuffle landed. Raise when coverage improves; never lower.
-exec_cov_floor=85.0
-echo "== coverage floor (internal/exec >= ${exec_cov_floor}%)"
-xcov=$(go test -cover ./internal/exec | sed -n 's/.*coverage: \([0-9.]*\)% of statements.*/\1/p')
-if [ -z "$xcov" ]; then
-	echo "coverage: could not parse 'go test -cover ./internal/exec' output" >&2
-	exit 1
-fi
-if awk "BEGIN{exit !($xcov < $exec_cov_floor)}"; then
-	echo "coverage: internal/exec at ${xcov}%, below the ${exec_cov_floor}% floor" >&2
-	exit 1
-fi
-echo "coverage: internal/exec at ${xcov}%"
-
-# Coverage floor: internal/core (SmartIndex — heat sketch, hot/cold tiers,
-# striped promotion, derivation, budget eviction) gates at the level set when
-# heat-aware budgeting landed. Raise when coverage improves; never lower.
-core_cov_floor=85.0
-echo "== coverage floor (internal/core >= ${core_cov_floor}%)"
-ccov=$(go test -cover ./internal/core | sed -n 's/.*coverage: \([0-9.]*\)% of statements.*/\1/p')
-if [ -z "$ccov" ]; then
-	echo "coverage: could not parse 'go test -cover ./internal/core' output" >&2
-	exit 1
-fi
-if awk "BEGIN{exit !($ccov < $core_cov_floor)}"; then
-	echo "coverage: internal/core at ${ccov}%, below the ${core_cov_floor}% floor" >&2
-	exit 1
-fi
-echo "coverage: internal/core at ${ccov}%"
+for pair in cluster:83.0 resultcache:90.0 events:92.0 exec:85.0 core:85.0; do
+	pkg=${pair%%:*}
+	floor=${pair#*:}
+	echo "== coverage floor (internal/${pkg} >= ${floor}%)"
+	cov=$(go test -cover "./internal/${pkg}" | sed -n 's/.*coverage: \([0-9.]*\)% of statements.*/\1/p')
+	if [ -z "$cov" ]; then
+		echo "coverage: could not parse 'go test -cover ./internal/${pkg}' output" >&2
+		exit 1
+	fi
+	if awk "BEGIN{exit !($cov < $floor)}"; then
+		echo "coverage: internal/${pkg} at ${cov}%, below the ${floor}% floor" >&2
+		exit 1
+	fi
+	echo "coverage: internal/${pkg} at ${cov}%"
+done
 
 echo "== fuzz smoke (FuzzParse, 10s)"
 go test -fuzz=FuzzParse -fuzztime=10s -run='^$' ./internal/sqlparser
